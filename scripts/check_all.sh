@@ -25,8 +25,8 @@
 # apstat incl. its diff mode), the serving-harness tests (ctest label
 # `serving`: arrivals, admission control, validation, JSON byte
 # determinism), the multi-tenant QoS tests (ctest label `tenant`:
-# ASID registry, DRR host-IO split, eviction isolation + reclaim
-# reserve, TLB shootdown, tenant auditor), and the analyzer's own
+# ASID registry, DRR host-IO split, eviction isolation, TLB
+# shootdown, tenant auditor), and the analyzer's own
 # suite (ctest label `lint`: the
 # two self-host scans plus lexer/parser/rule/call-graph/dataflow
 # units) run inside every tier-1 row; the explicit `--no-tests=error`

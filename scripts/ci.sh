@@ -19,6 +19,10 @@
 #   simcheck  tier-1 rebuilt and re-run with the race/lock-order/
 #             invariant/page-lifecycle analyses armed, then a one-line
 #             summary of what the gate covered
+#   perfbench the repository benchmark's own tests
+#             (perfbench/tests/test_perfbench.py: doctored references
+#             fail, seeded runs are bit-identical, metric names match
+#             BENCHMARK.json); about two minutes, so kept out of ctest
 #
 # Usage: scripts/ci.sh [plain-build-dir] [simcheck-build-dir]
 #        (defaults: build-plain, build-simcheck)
@@ -65,6 +69,9 @@ ctest --test-dir "${ARMED}" --output-on-failure -j "${JOBS}"
 TOTAL="$(ctest --test-dir "${ARMED}" -N | tail -1)"
 echo "=== ci.sh: simcheck summary: armed re-run green (${TOTAL}),"
 echo "    labels guarded: ${LABELS[*]} ==="
+
+step "perfbench (perfbench/tests/test_perfbench.py)"
+python3 perfbench/tests/test_perfbench.py
 
 echo "::endgroup::"
 STEP=""

@@ -19,7 +19,6 @@ using sim::check::SimCheck;
 /** Always-on eviction counters, one per PageEvictReason value. */
 constexpr const char* kPcEvictCounter[kPageEvictReasons] = {
     "pagecache.evict.clock_sweep",
-    "pagecache.evict.reserve_refill",
     "pagecache.evict.bucket_overflow",
     "pagecache.evict.poisoned_reclaim",
     "pagecache.evict.spec_victim",
@@ -30,7 +29,6 @@ constexpr const char* kPcEvictCounter[kPageEvictReasons] = {
 /** Dead-on-arrival counters (frame retired with zero demand hits). */
 constexpr const char* kPcDoaCounter[kPageEvictReasons] = {
     "pagecache.doa.clock_sweep",
-    "pagecache.doa.reserve_refill",
     "pagecache.doa.bucket_overflow",
     "pagecache.doa.poisoned_reclaim",
     "pagecache.doa.spec_victim",
@@ -45,15 +43,23 @@ wordChan(sim::Device* dev, sim::Addr a)
     return SimCheck::atomicChan(dev->mem().checkMemId, a);
 }
 
+/** Refcount zero and Ready or Error: the page may be claimed. */
+bool
+idlePage(const Pte& e)
+{
+    return e.refcount == 0 &&
+           (e.state == static_cast<uint32_t>(PteState::Ready) ||
+            e.state == static_cast<uint32_t>(PteState::Error));
+}
+
 } // namespace
 
 const char*
 pageEvictReasonName(PageEvictReason r)
 {
     constexpr const char* names[kPageEvictReasons] = {
-        "clock_sweep",      "reserve_refill", "bucket_overflow",
-        "poisoned_reclaim", "spec_victim",    "cross_tenant",
-        "teardown"};
+        "clock_sweep", "bucket_overflow", "poisoned_reclaim",
+        "spec_victim", "cross_tenant",    "teardown"};
     return names[static_cast<size_t>(r)];
 }
 
@@ -76,6 +82,7 @@ PageCache::PageCache(sim::Device& dev_, hostio::HostIoEngine& io_,
     for (uint32_t s = cfg.stagingSlots; s-- > 0;)
         freeStaging.push_back(s);
     allocLock.debugName = "pc.allocLock";
+    victimIndexed.resize(cfg.numFrames);
     frameLife.resize(cfg.numFrames);
 }
 
@@ -144,8 +151,8 @@ PageCache::maybeEmitCacheCounters(sim::Cycles now)
                     "pagecache.free_frames", now,
                     static_cast<double>(freeFrames.size()));
     tr.counterEvent(sim::kTelemetryTrack, "telemetry",
-                    "pagecache.reserve_depth", now,
-                    static_cast<double>(reserveFrames.size()));
+                    "pagecache.victim_index", now,
+                    static_cast<double>(victimIndex.size()));
     tr.counterEvent(sim::kTelemetryTrack, "telemetry", "contig.max_run",
                     now, static_cast<double>(contigProf.maxRunNow()));
 }
@@ -186,8 +193,11 @@ PageCache::pteRefDrop(sim::Warp& w, sim::Addr rca, int count,
         }
         AP_ASSERT(rc >= count, "refcount underflow (", why, "): ", rc,
                   " < ", count);
-        if (w.atomicCas<int32_t>(rca, rc, rc - count) == rc)
+        if (w.atomicCas<int32_t>(rca, rc, rc - count) == rc) {
+            if (rc == count)
+                notePageIdle(w.now());
             break;
+        }
     }
 }
 
@@ -561,7 +571,7 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
 
     // Free-pool frames only: advisory and speculative traffic must
     // never evict a resident page to make room for a guess.
-    uint32_t frame = tryAllocFrame(w);
+    uint32_t frame = tryAllocFrame(w, speculative);
     if (frame == UINT32_MAX) {
         dev->stats().inc("gpufs.prefetch_dropped");
         return PrefetchResult::NoFrame;
@@ -633,14 +643,19 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
         kPrefetchTrack, static_cast<int64_t>(f), pageKeyPageNo(key),
         w.now());
     std::function<void(hostio::IoStatus)> on_done =
-        [this, d, fa, len, page_size, state_addr, dom, key,
+        [this, d, fa, len, page_size, state_addr, dom, key, frame,
          speculative, pfid](hostio::IoStatus st) {
+            // The entry leaves Loading: unless a demand faulter took
+            // references meanwhile, it is now evictable.
+            notePageIdle(d->engine().now());
             if (st != hostio::IoStatus::Ok) {
                 // Failed prefetch: poison the zero-reference entry so
                 // later acquirers reclaim it and re-fault, instead of
                 // spinning forever on a Loading entry whose fill will
-                // never arrive. The frame stays attached until the
-                // reclaim frees it — no pinned-frame leak.
+                // never arrive. The frame stays attached until an
+                // acquirer or the victim index reclaims it — no
+                // pinned-frame leak.
+                indexVictim(frame);
                 if (SimCheck::armed) {
                     SimCheck::get().pcFillError(dom, key, -1,
                                                 d->engine().now());
@@ -701,13 +716,17 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
 }
 
 uint32_t
-PageCache::tryAllocFrame(sim::Warp& w)
+PageCache::tryAllocFrame(sim::Warp& w, bool speculative)
 {
     allocLock.acquire(w);
     uint32_t f = UINT32_MAX;
     if (!freeFrames.empty()) {
         f = freeFrames.back();
         freeFrames.pop_back();
+        // Indexed before it is tagged: until then the pop side sees
+        // an unbound frame and re-queues it.
+        if (speculative)
+            indexVictim(f);
     }
     w.issue(2);
     allocLock.release(w);
@@ -735,216 +754,243 @@ PageCache::settleSpecPage(PageKey key, bool hit, bool late)
 uint32_t
 PageCache::allocFrame(sim::Warp& w)
 {
-    // QoS fast path (registry attached only): an under-share tenant
-    // takes a pre-evicted frame from the reclaim reserve under an
-    // O(1) lock. allocLock is held for whole sweep revolutions by a
-    // streaming over-share tenant, so without this reserve a victim
-    // tenant's occasional demand miss queues behind every antagonist
-    // sweep — an alloc-lock convoy no eviction policy can undo.
-    if (registry_ && !registry_->overShare(w.tenant())) {
-        reserveLock.acquire(w);
-        if (!reserveFrames.empty()) {
-            uint32_t f = reserveFrames.back();
-            reserveFrames.pop_back();
-            w.issue(2);
-            reserveLock.release(w);
-            dev->stats().inc("tenant.reserve_hits");
-            return f;
-        }
-        reserveLock.release(w);
-    }
-
     allocLock.acquire(w);
-    if (!freeFrames.empty()) {
-        uint32_t f = freeFrames.back();
-        freeFrames.pop_back();
-        w.issue(2);
+    Victim v;
+    uint32_t free_frame = UINT32_MAX;
+    uint64_t scanned = 0;
+    bool swept = false;
+    for (;;) {
+        if (!freeFrames.empty()) {
+            free_frame = freeFrames.back();
+            freeFrames.pop_back();
+            w.issue(2);
+            break;
+        }
+        const uint64_t epoch = releaseEpoch;
+        // Eviction preference: unused-speculative and poisoned pages
+        // come off the index, so readahead guesses are recycled
+        // before any demand-touched page without sweeping for them.
+        if (popIndexedVictim(w, v))
+            break;
+        swept = true;
+        if (sweepForVictim(w, v, scanned))
+            break;
+        // Every frame is pinned: backpressure. A release seen since
+        // this pass began may sit behind the hand, so pass again;
+        // otherwise sleep until one arrives.
         allocLock.release(w);
-        return f;
+        if (releaseEpoch == epoch)
+            waitForRelease(w);
+        allocLock.acquire(w);
     }
+    allocLock.release(w);
+    if (swept)
+        dev->stats().recordValue("pagecache.alloc_scanned",
+                                 static_cast<double>(scanned));
+    if (free_frame != UINT32_MAX)
+        return free_frame;
+    evictVictim(w, v);
+    return v.frame;
+}
 
-    // A claimed victim awaiting its entry/meta scrub (done after
-    // allocLock is dropped; the refcount -1 claim keeps it inert).
-    struct Claimed
+bool
+PageCache::probeFrame(sim::Warp& w, uint32_t f, FrameMeta& fm, Pte& e,
+                      sim::Addr& ea)
+{
+    w.chargeGlobalRead(sizeof(FrameMeta));
+    // The allocator reads entries lock-free; the CAS claim is the only
+    // step with teeth.
     {
-        uint32_t frame;
-        PageKey key;
-        sim::Addr ea;
-        uint64_t taggedKey;
-        uint32_t entryRef;
-        bool dirty;
-        bool spec;  ///< undemanded speculative fill at claim time
-        bool error; ///< poisoned (Error-state) entry at claim time
-    };
-    Claimed primary{};
-    bool have_primary = false;
-    Claimed extras[2];
-    size_t n_extras = 0;
-    // While the sweep already holds allocLock with the hand parked on
-    // an evictable region, an attached registry has it pre-evict a few
-    // extra clean victims into the reclaim reserve — the reclaim tax
-    // lands on the tenant churning the cache, and under-share tenants
-    // alloc from the reserve without ever queuing on allocLock.
-    const size_t want_extras =
-        (registry_ && reserveFrames.size() < kReserveTarget)
-            ? std::min<size_t>(2, kReserveTarget - reserveFrames.size())
-            : 0;
+        SimCheck::Relaxed relaxed;
+        fm = w.mem().load<FrameMeta>(metaAddr(f));
+    }
+    if (fm.taggedKey == 0)
+        return false; // free-pool or mid-recycle frame
+    ea = pt.entryAddrOf(fm.entryRef);
+    {
+        SimCheck::Relaxed relaxed;
+        e = pt.readEntry(w, ea);
+    }
+    return e.taggedKey == fm.taggedKey && e.frame == f;
+}
 
-    // Clock sweep for a refcount-zero resident page.
-    const uint64_t limit = 8ULL * cfg.numFrames;
-    for (uint64_t tries = 0; tries < limit; ++tries) {
-        uint32_t f = static_cast<uint32_t>(clockHand++ % cfg.numFrames);
-        w.chargeGlobalRead(sizeof(FrameMeta));
-        // The sweep reads entries lock-free; the CAS claim below is the
-        // only step with teeth.
+bool
+PageCache::qosRefuses(const sim::Warp& w, const Pte& e) const
+{
+    // Another tenant's frame may be claimed only when that owner is
+    // over its weighted share and the requester is not: an antagonist
+    // churning the cache recycles its own frames and cannot push a
+    // victim tenant below its reserved share.
+    tenant::TenantId owner = pageKeyAsid(e.taggedKey - 1);
+    tenant::TenantId self = w.tenant();
+    return owner != self &&
+           !(registry_->overShare(owner) && !registry_->overShare(self));
+}
+
+bool
+PageCache::claimVictim(sim::Warp& w, uint32_t f, const FrameMeta& fm,
+                       const Pte& e, sim::Addr ea, Victim& v)
+{
+    sim::Addr rca = PageTable::refcountAddr(ea);
+    if (w.atomicCas<int32_t>(rca, 0, -1) != 0)
+        return false;
+    // ABA re-check: the slot may have been recycled for another page
+    // while the CAS was in flight (the claim then pinned the wrong
+    // entry). Nobody else can touch a claimed entry, so this re-read
+    // is stable; undo on mismatch.
+    bool stale;
+    {
+        SimCheck::Relaxed relaxed;
+        Pte cur = pt.readEntry(w, ea);
+        stale = cur.taggedKey != fm.taggedKey || cur.frame != f;
+        if (stale)
+            w.mem().store<int32_t>(rca, 0);
+    }
+    if (stale) {
+        if (SimCheck::armed)
+            SimCheck::get().syncRmw(wordChan(dev, rca));
+        return false;
+    }
+    if (SimCheck::armed)
+        SimCheck::get().pcClaim(checkDomain, e.taggedKey - 1,
+                                w.globalWarpId(), w.now());
+    v.frame = f;
+    v.key = e.taggedKey - 1;
+    v.ea = ea;
+    v.entryRef = fm.entryRef;
+    v.dirty = (fm.flags & kDirtyFlag) != 0;
+    v.spec = (fm.flags & kSpecFlag) != 0;
+    v.error = e.state == static_cast<uint32_t>(PteState::Error);
+    // A still-tagged victim was never demanded: thrash feedback.
+    if (v.spec)
+        settleSpecPage(v.key, false, false);
+    return true;
+}
+
+bool
+PageCache::popIndexedVictim(sim::Warp& w, Victim& v)
+{
+    for (size_t n = victimIndex.size(); n > 0; --n) {
+        uint32_t f = victimIndex.front();
+        victimIndex.pop_front();
+        w.issue(2);
         FrameMeta fm;
         Pte e;
-        {
-            SimCheck::Relaxed relaxed;
-            fm = w.mem().load<FrameMeta>(metaAddr(f));
-        }
-        if (fm.taggedKey == 0)
-            continue; // free-pool or mid-recycle frame
-        sim::Addr ea = pt.entryAddrOf(fm.entryRef);
-        {
-            SimCheck::Relaxed relaxed;
-            e = pt.readEntry(w, ea);
-        }
-        if (e.taggedKey != fm.taggedKey || e.frame != f)
-            continue; // stale back-reference
-        if (e.refcount != 0 ||
-            (e.state != static_cast<uint32_t>(PteState::Ready) &&
-             e.state != static_cast<uint32_t>(PteState::Error)))
-            continue;
-        // Eviction preference: the first revolution takes only
-        // unused-speculative or poisoned victims, so readahead guesses
-        // are recycled before any demand-touched page.
-        if (tries < cfg.numFrames && !(fm.flags & kSpecFlag) &&
-            e.state != static_cast<uint32_t>(PteState::Error))
-            continue;
-        // Tenant isolation (QoS): through the strict phase of the
-        // sweep, another tenant's frame may be claimed only when that
-        // owner is over its weighted share and the requester is not —
-        // an antagonist churning the cache recycles its own frames and
-        // cannot push a victim tenant below its reserved share. The
-        // final revolutions are unrestricted so policy can never turn
-        // a full cache into the thrashing fatal below.
-        if (registry_ && tries < 6ULL * cfg.numFrames) {
-            tenant::TenantId owner = pageKeyAsid(e.taggedKey - 1);
-            tenant::TenantId self = w.tenant();
-            if (owner != self && !(registry_->overShare(owner) &&
-                                   !registry_->overShare(self))) {
-                dev->stats().inc("tenant.evict_skipped");
+        sim::Addr ea = 0;
+        if (probeFrame(w, f, fm, e, ea)) {
+            if (!(fm.flags & kSpecFlag) &&
+                e.state != static_cast<uint32_t>(PteState::Error)) {
+                // Demanded, or evicted and re-bound, since indexing.
+                victimIndexed[f] = 0;
                 continue;
             }
+            if (idlePage(e) && !(registry_ && qosRefuses(w, e)) &&
+                claimVictim(w, f, fm, e, ea, v)) {
+                victimIndexed[f] = 0;
+                return true;
+            }
         }
-        // Reserve extras are clean victims from the strict phase only:
-        // no writeback amplification, and never claimed while the
-        // sweep is in its anything-goes endgame.
-        if (have_primary && ((fm.flags & kDirtyFlag) != 0 ||
-                             tries >= 6ULL * cfg.numFrames))
-            continue;
-        sim::Addr rca = PageTable::refcountAddr(ea);
-        if (w.atomicCas<int32_t>(rca, 0, -1) != 0)
-            continue;
-        // ABA re-check: the slot may have been recycled for another
-        // page while the CAS was in flight (the claim then pinned the
-        // wrong entry). Nobody else can touch a claimed entry, so this
-        // re-read is stable; undo and keep sweeping on mismatch.
-        bool stale;
-        {
-            SimCheck::Relaxed relaxed;
-            Pte cur = pt.readEntry(w, ea);
-            stale = cur.taggedKey != fm.taggedKey || cur.frame != f;
-            if (stale)
-                w.mem().store<int32_t>(rca, 0);
-        }
-        if (stale) {
-            if (SimCheck::armed)
-                SimCheck::get().syncRmw(wordChan(dev, rca));
-            continue;
-        }
-        if (SimCheck::armed)
-            SimCheck::get().pcClaim(checkDomain, e.taggedKey - 1,
-                                    w.globalWarpId(), w.now());
-
-        PageKey victim_key = e.taggedKey - 1;
-        bool dirty = (fm.flags & kDirtyFlag) != 0;
-        // A still-tagged victim was never demanded: thrash feedback.
-        if (fm.flags & kSpecFlag)
-            settleSpecPage(victim_key, false, false);
-        Claimed c{f,
-                  victim_key,
-                  ea,
-                  fm.taggedKey,
-                  fm.entryRef,
-                  dirty,
-                  (fm.flags & kSpecFlag) != 0,
-                  e.state == static_cast<uint32_t>(PteState::Error)};
-        if (!have_primary) {
-            primary = c;
-            have_primary = true;
-        } else {
-            extras[n_extras++] = c;
-        }
-        if (n_extras >= want_extras)
-            break;
+        victimIndex.push_back(f);
     }
-    if (!have_primary)
-        fatal("page cache thrashing: no evictable page among ",
-              cfg.numFrames,
-              " frames (all pages pinned by active references)");
-    allocLock.release(w);
+    return false;
+}
 
-    // Scrub a claimed victim's entry and meta. A dirty victim is
-    // written back BEFORE its entry disappears: while the claimed
-    // (refcount -1) entry is still visible, concurrent faults on the
-    // page spin instead of re-fetching stale bytes from the backing
-    // store — otherwise the in-flight writeback would be lost.
-    auto scrubVictim = [&](const Claimed& c, bool reserve_extra) {
-        if (c.dirty)
-            writeback(w, c.key, c.frame);
-        uint32_t vb = c.entryRef / cfg.bucketEntries;
-        sim::DeviceLock& vlk = pt.bucketLock(vb);
-        vlk.acquire(w);
-        pt.writeEntry(w, c.ea, Pte{});
-        if (SimCheck::armed)
-            SimCheck::get().pcRemove(checkDomain, c.key,
-                                     w.globalWarpId(), w.now());
+bool
+PageCache::sweepForVictim(sim::Warp& w, Victim& v, uint64_t& scanned)
+{
+    // With QoS on, the first revolution is strict and the second takes
+    // any idle page, so policy alone never makes a cache unevictable.
+    const uint64_t strict = registry_ ? cfg.numFrames : 0;
+    for (uint64_t tries = 0; tries < strict + cfg.numFrames; ++tries) {
+        ++scanned;
+        uint32_t f = static_cast<uint32_t>(clockHand++ % cfg.numFrames);
         FrameMeta fm;
-        fm.taggedKey = 0;
-        fm.entryRef = c.entryRef;
-        fm.flags = 0;
-        w.mem().store(metaAddr(c.frame), fm);
-        w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
-        // Telemetry classification, most specific condition first: a
-        // poisoned entry over a speculative tag over the QoS reserve
-        // purpose over cross-tenant reclaim over the plain sweep.
-        PageEvictReason reason =
-            c.error         ? PageEvictReason::PoisonedReclaim
-            : c.spec        ? PageEvictReason::SpecVictim
-            : reserve_extra ? PageEvictReason::ReserveRefill
-            : (registry_ && pageKeyAsid(c.key) != w.tenant())
-                ? PageEvictReason::CrossTenant
-                : PageEvictReason::ClockSweep;
-        noteFrameUnbound(c.key, c.frame, reason, w.now());
-        vlk.release(w);
-
-        dev->stats().inc("gpufs.evictions");
-        if (registry_ && pageKeyAsid(c.key) != w.tenant())
-            dev->stats().inc("tenant.cross_evictions");
-    };
-
-    for (size_t i = 0; i < n_extras; ++i) {
-        scrubVictim(extras[i], true);
-        reserveLock.acquire(w);
-        reserveFrames.push_back(extras[i].frame);
-        w.issue(2);
-        reserveLock.release(w);
-        dev->stats().inc("tenant.reserve_refills");
+        Pte e;
+        sim::Addr ea = 0;
+        if (!probeFrame(w, f, fm, e, ea) || !idlePage(e))
+            continue;
+        if (tries < strict && qosRefuses(w, e)) {
+            dev->stats().inc("tenant.evict_skipped");
+            continue;
+        }
+        if (claimVictim(w, f, fm, e, ea, v))
+            return true;
     }
-    scrubVictim(primary, false);
-    return primary.frame;
+    return false;
+}
+
+void
+PageCache::evictVictim(sim::Warp& w, const Victim& v)
+{
+    // A dirty victim is written back BEFORE its entry disappears:
+    // while the claimed (refcount -1) entry is still visible,
+    // concurrent faults on the page spin instead of re-fetching stale
+    // bytes from the backing store — otherwise the in-flight writeback
+    // would be lost.
+    if (v.dirty)
+        writeback(w, v.key, v.frame);
+    uint32_t vb = v.entryRef / cfg.bucketEntries;
+    sim::DeviceLock& vlk = pt.bucketLock(vb);
+    vlk.acquire(w);
+    pt.writeEntry(w, v.ea, Pte{});
+    if (SimCheck::armed)
+        SimCheck::get().pcRemove(checkDomain, v.key, w.globalWarpId(),
+                                 w.now());
+    FrameMeta fm;
+    fm.taggedKey = 0;
+    fm.entryRef = v.entryRef;
+    fm.flags = 0;
+    w.mem().store(metaAddr(v.frame), fm);
+    w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
+    // Telemetry classification, most specific condition first: a
+    // poisoned entry over a speculative tag over cross-tenant reclaim
+    // over the plain sweep.
+    const bool cross = registry_ && pageKeyAsid(v.key) != w.tenant();
+    PageEvictReason reason = v.error  ? PageEvictReason::PoisonedReclaim
+                             : v.spec ? PageEvictReason::SpecVictim
+                             : cross  ? PageEvictReason::CrossTenant
+                                      : PageEvictReason::ClockSweep;
+    noteFrameUnbound(v.key, v.frame, reason, w.now());
+    vlk.release(w);
+
+    dev->stats().inc("gpufs.evictions");
+    if (cross)
+        dev->stats().inc("tenant.cross_evictions");
+}
+
+void
+PageCache::indexVictim(uint32_t frame)
+{
+    if (victimIndexed[frame])
+        return;
+    victimIndexed[frame] = 1;
+    victimIndex.push_back(frame);
+}
+
+void
+PageCache::notePageIdle(sim::Cycles now)
+{
+    ++releaseEpoch;
+    if (allocWaiters.empty())
+        return;
+    sim::Fiber* next = allocWaiters.front();
+    allocWaiters.pop_front();
+    dev->engine().scheduleFiber(now, next);
+}
+
+void
+PageCache::waitForRelease(sim::Warp& w)
+{
+    // An empty event queue means no warp is left to run: every frame
+    // is pinned by warps that are themselves blocked.
+    if (w.engine().idle())
+        fatal("page cache deadlock: no evictable page among ",
+              cfg.numFrames,
+              " frames and no runnable warp to release one (all pages "
+              "pinned by active references)");
+    dev->stats().inc("pagecache.alloc_waits");
+    allocWaiters.push_back(sim::Fiber::current());
+    w.engine().block();
 }
 
 void
@@ -954,6 +1000,7 @@ PageCache::freeFrame(sim::Warp& w, uint32_t frame)
     freeFrames.push_back(frame);
     w.issue(2);
     allocLock.release(w);
+    notePageIdle(w.now());
 }
 
 void
@@ -1045,6 +1092,10 @@ PageCache::publishFillError(sim::Warp& w, PageKey key, sim::Addr ea,
                                 static_cast<uint32_t>(PteState::Error));
     }
     w.chargeGlobalWrite(4);
+    // A poisoned frame is an ideal victim: queue it for the allocator
+    // (one atomic append) so it is reclaimed without a sweep.
+    indexVictim(frame);
+    w.issue(2);
     // Drop our own references last: a claim (refcount 0 -> -1) is only
     // legal from Ready or Error, so the entry cannot be reclaimed out
     // from under us before the Error state is visible.

@@ -36,16 +36,15 @@ namespace ap::gpufs {
 enum class PageEvictReason : uint8_t
 {
     ClockSweep = 0,      ///< ordinary clock-hand victim
-    ReserveRefill = 1,   ///< pre-evicted into the QoS reclaim reserve
-    BucketOverflow = 2,  ///< displaced by a full page-table bucket
-    PoisonedReclaim = 3, ///< Error entry reclaimed (failed fill)
-    SpecVictim = 4,      ///< undemanded speculative page recycled
-    CrossTenant = 5,     ///< claimed by another tenant's sweep (QoS)
-    Teardown = 6,        ///< tenant teardown scrubbed the frame
+    BucketOverflow = 1,  ///< displaced by a full page-table bucket
+    PoisonedReclaim = 2, ///< Error entry reclaimed (failed fill)
+    SpecVictim = 3,      ///< undemanded speculative page recycled
+    CrossTenant = 4,     ///< claimed by another tenant's sweep (QoS)
+    Teardown = 5,        ///< tenant teardown scrubbed the frame
 };
 
 /** Number of PageEvictReason values (table sizing). */
-constexpr size_t kPageEvictReasons = 7;
+constexpr size_t kPageEvictReasons = 6;
 
 /** Printable name of @p r ("clock_sweep", "poisoned_reclaim", ...). */
 const char* pageEvictReasonName(PageEvictReason r);
@@ -221,9 +220,10 @@ class PageCache
      * counted under `gpufs.prefetch_dropped`.
      *
      * @param speculative readahead-issued (vs. explicit gmadvise):
-     *        tags the frame kSpecFlag so eviction prefers it while
-     *        unused, the fill rides the low-priority DMA lane, and the
-     *        SpecObserver hears about the page's fate
+     *        tags the frame kSpecFlag and queues it on the victim
+     *        index so eviction prefers it while unused, the fill rides
+     *        the low-priority DMA lane, and the SpecObserver hears
+     *        about the page's fate
      */
     PrefetchResult prefetchPage(sim::Warp& w, PageKey key,
                                 bool speculative = false)
@@ -262,27 +262,19 @@ class PageCache
 
     /**
      * Attach a tenant registry, turning on QoS partitioning: every
-     * frame is charged to the ASID of the page it holds, the eviction
-     * clock refuses to take an under-share tenant's frame for an
-     * over-share requester (see allocFrame), and fault stats fan out
-     * into per-tenant `tenant.tN.*` groups. Null detaches; with no
-     * registry the cache behaves exactly as before (single tenant,
-     * byte-identical sweep decisions).
+     * frame is charged to the ASID of the page it holds, eviction
+     * refuses to take an under-share tenant's frame for an over-share
+     * requester through its strict revolution (see allocFrame), and
+     * fault stats fan out into per-tenant `tenant.tN.*` groups. Null
+     * detaches; with no registry the cache behaves exactly as before
+     * (single tenant, byte-identical sweep decisions).
      */
     void
     setTenantRegistry(tenant::TenantRegistry* reg)
     {
         registry_ = reg;
-        if (reg) {
+        if (reg)
             reg->attachCacheFrames(cfg.numFrames);
-        } else {
-            // Nobody pops the reclaim reserve once QoS is off; return
-            // parked frames to the ordinary free pool (host-side, no
-            // simulated cost — detach happens between runs).
-            freeFrames.insert(freeFrames.end(), reserveFrames.begin(),
-                              reserveFrames.end());
-            reserveFrames.clear();
-        }
     }
 
     /** The attached tenant registry (null when QoS is off). */
@@ -315,18 +307,96 @@ class PageCache
     const ContigProfiler& contigHost() const { return contigProf; }
 
   private:
-    /** Obtain a free frame, evicting a refcount-zero page if needed. */
+    /** A page claimed for eviction (refcount -1), awaiting its scrub. */
+    struct Victim
+    {
+        uint32_t frame = 0;
+        PageKey key = 0;
+        sim::Addr ea = 0;
+        uint32_t entryRef = 0;
+        bool dirty = false;
+        bool spec = false;  ///< undemanded speculative fill at claim
+        bool error = false; ///< poisoned (Error-state) entry at claim
+    };
+
+    /**
+     * Obtain a frame: the free pool, else an idle page from the victim
+     * index, else the first idle page under the clock hand (one strict
+     * QoS revolution plus one unrestricted one when a registry is
+     * attached, one revolution otherwise). When nothing is evictable
+     * the warp drops allocLock and waits for a page release
+     * (`pagecache.alloc_waits`) instead of failing. Frames inspected
+     * by the sweep land in the `pagecache.alloc_scanned` histogram.
+     */
     uint32_t allocFrame(sim::Warp& w)
-        AP_ACQUIRES("pc.alloc") AP_ACQUIRES("pt.bucket")
-        AP_ACQUIRES("pc.reserve");
+        AP_ACQUIRES("pc.alloc") AP_ACQUIRES("pt.bucket");
 
     /**
      * Obtain a frame from the free pool only — no clock sweep, no
-     * eviction, no fatal. The advisory/speculative path uses this so
-     * prefetch can never displace a resident page.
+     * eviction, no wait. The advisory/speculative path uses this so
+     * prefetch can never displace a resident page. A speculative
+     * fill's frame moves onto the victim index in the same pool
+     * transaction.
      * @return frame index, or UINT32_MAX if the pool is empty
      */
-    uint32_t tryAllocFrame(sim::Warp& w) AP_ACQUIRES("pc.alloc");
+    uint32_t tryAllocFrame(sim::Warp& w, bool speculative)
+        AP_ACQUIRES("pc.alloc");
+
+    /**
+     * Pop victim-index entries (caller holds allocLock) until one
+     * claims. Entries no longer speculative or poisoned are dropped;
+     * candidates that are busy (loading, referenced, refused by QoS,
+     * not yet bound) go to the back, so each entry is inspected at
+     * most once per call. @return true with @p v claimed
+     */
+    bool popIndexedVictim(sim::Warp& w, Victim& v);
+
+    /**
+     * Clock sweep for an idle page (caller holds allocLock); adds the
+     * frames inspected to @p scanned. @return true with @p v claimed
+     */
+    bool sweepForVictim(sim::Warp& w, Victim& v, uint64_t& scanned);
+
+    /**
+     * Relaxed reads of frame @p f's meta and page-table entry into
+     * @p fm / @p e (entry address @p ea). @return true iff the frame
+     * holds a page whose entry points back at it
+     */
+    bool probeFrame(sim::Warp& w, uint32_t f, FrameMeta& fm, Pte& e,
+                    sim::Addr& ea);
+
+    /**
+     * Eviction claim on a probed idle page: refcount 0 -> -1 CAS plus
+     * the ABA re-read. @return true with @p v filled in
+     */
+    bool claimVictim(sim::Warp& w, uint32_t f, const FrameMeta& fm,
+                     const Pte& e, sim::Addr ea, Victim& v);
+
+    /** QoS filter: true if @p w's tenant may not take @p e's frame. */
+    bool qosRefuses(const sim::Warp& w, const Pte& e) const;
+
+    /**
+     * Unbind a claimed victim: write it back if dirty (while the
+     * claimed entry still makes concurrent faulters spin), remove its
+     * entry, clear its meta, and retire its telemetry.
+     */
+    void evictVictim(sim::Warp& w, const Victim& v) AP_ACQUIRES("pt.bucket");
+
+    /** Queue @p frame on the victim index unless it is already there. */
+    void indexVictim(uint32_t frame);
+
+    /**
+     * A frame may have become evictable (a refcount reached zero, a
+     * zero-reference fill completed, a frame went back to the pool):
+     * advance the release epoch and wake one allocation waiter.
+     */
+    void notePageIdle(sim::Cycles now);
+
+    /**
+     * Block until notePageIdle wakes this warp. Aborts if nothing is
+     * left to run: every frame is pinned and no release can come.
+     */
+    void waitForRelease(sim::Warp& w) AP_YIELDS;
 
     /**
      * A speculative page met its fate on a warp path: clear kSpecFlag
@@ -434,9 +504,9 @@ class PageCache
     void noteFrameDemandHit(uint32_t frame, sim::Cycles now);
 
     /**
-     * Throttled Chrome-trace counter samples (free frames, reserve
-     * depth, longest resident run) on the telemetry track; no-op
-     * while tracing is off.
+     * Throttled Chrome-trace counter samples (free frames, victim-index
+     * depth, longest resident run) on the telemetry track; no-op while
+     * tracing is off.
      */
     void maybeEmitCacheCounters(sim::Cycles now);
 
@@ -458,14 +528,19 @@ class PageCache
     sim::DeviceLock allocLock AP_LOCK_LEVEL("pc.alloc");
     uint64_t clockHand = 0;
 
-    /** QoS reclaim reserve (registry attached only): clean frames
-     * pre-evicted by over-share sweepers, handed to under-share
-     * tenants under an O(1) lock so their demand misses are never
-     * serialized behind a whole-revolution clock sweep holding
-     * allocLock. Never touched on the single-tenant path. */
-    std::vector<uint32_t> reserveFrames;
-    sim::DeviceLock reserveLock AP_LOCK_LEVEL("pc.reserve");
-    static constexpr size_t kReserveTarget = 8;
+    /** Victim index: frames tagged by a speculative fill or poisoned
+     * by a failed one, oldest first, popped under allocLock before
+     * the clock sweep runs (device-side queue mirrored host-side).
+     * Entries are re-validated on pop; victimIndexed keeps each frame
+     * queued at most once, bounding the queue at numFrames. */
+    std::deque<uint32_t> victimIndex;
+    std::vector<uint8_t> victimIndexed;
+
+    /** Warps waiting in allocFrame for a page release, and the count
+     * of releases so far (a sweep that saw a release must re-sweep
+     * rather than wait: its hand may have passed the freed page). */
+    std::deque<sim::Fiber*> allocWaiters;
+    uint64_t releaseEpoch = 0;
 
     /** simcheck serial for the per-slot staging handoff channels. */
     const uint64_t checkStagingSerial = sim::check::SimCheck::nextId();

@@ -147,7 +147,7 @@ class Tracer
      * Record a counter sample (Chrome phase "C"): the viewer draws one
      * stacked area chart per @p name with the sampled @p value. The
      * telemetry layer emits occupancy series this way (TLB entries,
-     * free frames, reserve depth, max resident run); emitters throttle
+     * free frames, victim-index depth, max resident run); emitters throttle
      * themselves (see kCounterIntervalCycles) so a hot loop cannot
      * flood the event buffer with samples.
      */

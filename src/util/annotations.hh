@@ -113,12 +113,11 @@ namespace ap {
  * (tests/sim/test_lock_contracts.cc), so the static and dynamic views
  * can never drift apart silently.
  */
-// aplint: lock-order: tlb.entry < pt.bucket < pc.alloc < pc.reserve
+// aplint: lock-order: tlb.entry < pt.bucket < pc.alloc
 inline constexpr const char* kLockOrder[] = {
     "tlb.entry",
     "pt.bucket",
     "pc.alloc",
-    "pc.reserve",
 };
 
 /** One legal PteState transition, named by state identifiers. */

@@ -5,9 +5,7 @@
  * @file
  * Page-cache QoS tests: eviction isolation (an over-share streamer
  * recycles its own frames and cannot displace an under-share tenant's
- * residency), the reclaim-reserve fast path that keeps an under-share
- * tenant's allocation off the sweep convoy, and tenant teardown of
- * the cache footprint.
+ * residency) and tenant teardown of the cache footprint.
  */
 
 #include <gtest/gtest.h>
@@ -119,25 +117,6 @@ TEST(TenantCache, WithoutRegistryTheClockEvictsColdVictimPages)
         }
     });
     EXPECT_GT(refault_majors, 0u);
-}
-
-TEST(TenantCache, ReclaimReserveServesUnderShareAllocations)
-{
-    TenantCacheFixture fx;
-    fx.cache->setTenantRegistry(&fx.reg);
-    hostio::FileId f = fx.makeFile("f", 256 * 4096);
-    fx.dev->launch(1, 1, [&](sim::Warp& w) {
-        // The antagonist's sweeps pre-evict extra clean victims into
-        // the reclaim reserve while they hold allocLock anyway.
-        w.setTenant(fx.antag.id);
-        fx.touch(w, fx.antag.id, f, 64, 64);
-        // A subsequent under-share allocation is served from the
-        // reserve under the O(1) lock — never behind a sweep.
-        w.setTenant(fx.victim.id);
-        fx.touch(w, fx.victim.id, f, 0, 4);
-    });
-    EXPECT_GT(fx.dev->stats().counter("tenant.reserve_refills"), 0u);
-    EXPECT_GT(fx.dev->stats().counter("tenant.reserve_hits"), 0u);
 }
 
 TEST(TenantCache, TeardownScrubsFramesAndFreesTheAsid)

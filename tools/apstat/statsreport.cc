@@ -14,10 +14,9 @@ namespace {
 /** Eviction-reason display order; mirrors the simulator enums. */
 constexpr std::array<std::string_view, 4> kTlbReasons{
     "conflict", "invalidation", "shootdown", "teardown"};
-constexpr std::array<std::string_view, 7> kPcReasons{
-    "clock_sweep",      "reserve_refill", "bucket_overflow",
-    "poisoned_reclaim", "spec_victim",    "cross_tenant",
-    "teardown"};
+constexpr std::array<std::string_view, 6> kPcReasons{
+    "clock_sweep", "bucket_overflow", "poisoned_reclaim",
+    "spec_victim", "cross_tenant",    "teardown"};
 
 bool
 startsWith(const std::string& s, std::string_view prefix)
