@@ -396,7 +396,6 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
         // 16x-sized table makes this path vanishingly rare.
         uint32_t frame_to_recycle = UINT32_MAX;
         PageKey recycle_key = 0;
-        bool recycle_dirty = false;
         if (empty == 0) {
             for (uint32_t s = 0; s < cfg.bucketEntries; ++s) {
                 sim::Addr cea = pt.entryAddr(b, s);
@@ -436,7 +435,6 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                     continue;
                 }
                 recycle_key = e.taggedKey - 1;
-                recycle_dirty = false;
                 frame_to_recycle = e.frame;
                 if (fm.flags & kSpecFlag)
                     settleSpecPage(recycle_key, false, false);
@@ -472,13 +470,11 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
         noteFrameBound(key, frame, w.now());
         lk.release(w);
 
-        // Writeback and recycling of an overflow victim happen outside
-        // the lock (the victim is already unreachable).
-        if (frame_to_recycle != UINT32_MAX) {
-            if (recycle_dirty)
-                writeback(w, recycle_key, frame_to_recycle);
+        // Recycling of an overflow victim happens outside the lock
+        // (the victim is already unreachable, and clean: dirty entries
+        // are skipped above, so there is nothing to write back).
+        if (frame_to_recycle != UINT32_MAX)
             freeFrame(w, frame_to_recycle);
-        }
 
         hostio::IoStatus fill = hostio::IoStatus::Ok;
         if (zero_fill && !swappedOut.count(key)) {
@@ -927,8 +923,13 @@ PageCache::evictVictim(sim::Warp& w, const Victim& v)
     // concurrent faults on the page spin instead of re-fetching stale
     // bytes from the backing store — otherwise the in-flight writeback
     // would be lost.
-    if (v.dirty)
+    if (v.dirty) {
+        // Timed on its own: FaultPath folds it into the alloc stage.
+        const sim::Cycles t0 = w.now();
         writeback(w, v.key, v.frame);
+        dev->stats().recordValue("pagecache.writeback_cycles",
+                                 w.now() - t0);
+    }
     uint32_t vb = v.entryRef / cfg.bucketEntries;
     sim::DeviceLock& vlk = pt.bucketLock(vb);
     vlk.acquire(w);

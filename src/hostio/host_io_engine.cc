@@ -48,8 +48,8 @@ resumeWithEdge(sim::Fiber* f)
 HostIoEngine::HostIoEngine(sim::Device& dev_, BackingStore& store,
                            bool batching_)
     : dev(&dev_), store_(&store), batching(batching_),
-      pcieToGpu(dev_.costModel().pcieBytesPerCycle),
-      pcieToHost(dev_.costModel().pcieBytesPerCycle)
+      toGpu(dev_.costModel().pcieBytesPerCycle, false),
+      toHost(dev_.costModel().pcieBytesPerCycle, true)
 {
 }
 
@@ -77,14 +77,34 @@ IoStatus
 HostIoEngine::readToGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
                         sim::Addr gpu_dst)
 {
+    return transfer(w, toGpu, f, off, len, gpu_dst, w.activeFault());
+}
+
+IoStatus
+HostIoEngine::writeFromGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
+                           sim::Addr gpu_src)
+{
+    // Untracked by FaultPath: a writeback runs inside the evicting
+    // fault's alloc stage, and stamping it would claim that fault's
+    // enqueue/transfer marks before its fill is even issued.
+    return transfer(w, toHost, f, off, len, gpu_src, 0);
+}
+
+IoStatus
+HostIoEngine::transfer(sim::Warp& w, Link& link, FileId f, uint64_t off,
+                       size_t len, sim::Addr gpu_addr, uint64_t fid)
+{
     IoStatus v = store_->checkRange(f, off, len);
     if (v != IoStatus::Ok) {
         dev->stats().inc("hostio.failures");
         return v;
     }
     sim::Engine& eng = dev->engine();
-    dev->stats().inc("hostio.read_requests");
-    dev->stats().inc("hostio.read_bytes", len);
+    dev->stats().inc(link.writes ? "hostio.write_requests"
+                                 : "hostio.read_requests");
+    dev->stats().inc(link.writes ? "hostio.write_bytes"
+                                 : "hostio.read_bytes",
+                     len);
     // Enqueue the request into the host RPC ring (a few stores over
     // PCIe-visible memory plus a doorbell).
     w.issue(8);
@@ -95,9 +115,9 @@ HostIoEngine::readToGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
     // poisoned attempt leaves its batch and retries on its own.
     for (int attempt = 0;; ++attempt) {
         IoStatus st = IoStatus::Ok;
-        submitRead(Request{f, off, len, gpu_dst, sim::Fiber::current(),
-                           &st, nullptr, attempt, false,
-                           w.activeFault(), w.tenant()});
+        submit(link, Request{f, off, len, gpu_addr, sim::Fiber::current(),
+                             &st, nullptr, attempt, false, fid,
+                             w.tenant()});
         eng.block();
         if (st != IoStatus::Again) {
             if (st != IoStatus::Ok)
@@ -109,100 +129,136 @@ HostIoEngine::readToGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
             return IoStatus::IoError;
         }
         dev->stats().inc("hostio.retries");
-        dev->faultPath().attempt(w.activeFault());
+        dev->faultPath().attempt(fid);
         eng.waitUntil(eng.now() + backoff(attempt));
     }
 }
 
 void
-HostIoEngine::submitRead(Request r)
+HostIoEngine::submit(Link& link, Request r)
 {
     // First submission keeps this stamp; retries re-stamp the transfer
     // marks only, so queue_wait absorbs the backoff.
     dev->faultPath().stamp(r.fid, sim::FaultStage::Enqueue,
                            dev->engine().now());
     if (batching)
-        enqueueBatched(std::move(r));
+        enqueueBatched(link, std::move(r));
     else
-        issueUnbatchedRead(std::move(r));
+        issueUnbatched(link, std::move(r));
 }
 
 void
-HostIoEngine::issueUnbatchedRead(Request r)
+HostIoEngine::issueUnbatched(Link& link, Request r)
 {
     // One PCIe transfer per request: each pays the full DMA setup.
     const sim::CostModel& cm = dev->costModel();
     sim::Engine& eng = dev->engine();
     sim::Cycles host = eng.now() + cm.hostRequestCost;
-    sim::Cycles done = pcieToGpu.acquireWithSetup(
+    sim::Cycles done = link.bus.acquireWithSetup(
         host, static_cast<double>(r.len), cm.pcieLatency);
     done += injectedDelay(r);
     dev->faultPath().stamp(r.fid, sim::FaultStage::TransferStart, host);
-    ++inflightReads;
-    eng.schedule(done, [this, r = std::move(r)] {
+    ++link.inflight;
+    eng.schedule(done, [this, &link, r = std::move(r)] {
         dev->stats().inc("hostio.transfers");
         dev->faultPath().stamp(r.fid, sim::FaultStage::TransferEnd,
                                dev->engine().now());
-        --inflightReads;
-        completeRead(r);
+        --link.inflight;
+        complete(link, r);
     });
 }
 
 void
-HostIoEngine::enqueueBatched(Request r)
+HostIoEngine::enqueueBatched(Link& link, Request r)
 {
-    if (registry_) {
+    if (!link.writes && registry_) {
         // Fair scheduling: queue under the requesting tenant; the
         // dispatch event drains the queues by deficit round-robin.
         TenantQueue& q = qosQueues[r.asid];
         (r.low ? q.spec : q.demand).push_back(std::move(r));
         ++qosQueued;
     } else {
-        pending.push_back(std::move(r));
+        link.pending.push_back(std::move(r));
     }
     // The dispatch event may already be scheduled by an earlier
     // requester; publish this requester's clock into the host channel
-    // so the batch that carries its DMA is ordered after it.
+    // so the batch that carries its DMA is ordered after it (for a
+    // write, after the stores that produced the bytes it ships).
     if (sim::check::SimCheck::armed)
         sim::check::SimCheck::get().hostRelease();
-    armDispatch();
+    armDispatch(link);
 }
 
 void
-HostIoEngine::armDispatch()
+HostIoEngine::armDispatch(Link& link)
 {
-    if (dispatchScheduled || (pending.empty() && qosQueued == 0))
+    if (link.dispatchScheduled ||
+        (link.pending.empty() && (link.writes || qosQueued == 0)))
         return;
     const sim::CostModel& cm = dev->costModel();
     sim::Engine& eng = dev->engine();
-    dispatchScheduled = true;
+    link.dispatchScheduled = true;
     // Work-conserving aggregation: while a transfer is in flight,
     // keep accumulating requests and dispatch them as one batch
     // when the DMA channel frees up (the GPUfs host daemon drains
     // its whole RPC queue per iteration).
     sim::Cycles when = std::max(eng.now() + cm.hostBatchWindow,
-                                pcieToGpu.freeTime());
-    eng.schedule(when, [this] { dispatch(); });
+                                link.bus.freeTime());
+    eng.schedule(when, [this, &link] { dispatch(link); });
 }
 
 void
-HostIoEngine::dispatch()
+HostIoEngine::dispatch(Link& link)
 {
-    dispatchScheduled = false;
-    if (!pending.empty())
-        dispatchBatch();
-    if (qosQueued > 0)
+    link.dispatchScheduled = false;
+    if (!link.pending.empty())
+        dispatchBatch(link);
+    if (!link.writes && qosQueued > 0)
         dispatchQos();
 }
 
+sim::Cycles
+HostIoEngine::ship(Link& link, std::vector<Request> group, size_t bytes,
+                   sim::Cycles host_free)
+{
+    const sim::CostModel& cm = dev->costModel();
+    sim::Cycles done = link.bus.acquireWithSetup(
+        host_free, static_cast<double>(bytes), cm.pcieLatency);
+    link.inflight += group.size();
+    dev->stats().inc("hostio.batched_requests", group.size());
+    for (const Request& r : group)
+        dev->faultPath().stamp(r.fid, sim::FaultStage::TransferStart,
+                               host_free);
+    // An injected delay on any member holds up the whole DMA (the
+    // batch completes as one transaction).
+    sim::Cycles delay = 0;
+    for (const Request& r : group)
+        delay = std::max(delay, injectedDelay(r));
+    // The transfer is counted when the DMA lands, matching the
+    // unbatched path (counting at dispatch time let mid-run stats
+    // reads disagree between the two paths).
+    dev->engine().schedule(
+        done + delay, [this, &link, group = std::move(group)] {
+            dev->stats().inc("hostio.transfers");
+            link.inflight -= group.size();
+            for (const Request& r : group) {
+                dev->faultPath().stamp(r.fid,
+                                       sim::FaultStage::TransferEnd,
+                                       dev->engine().now());
+                complete(link, r);
+            }
+        });
+    return done;
+}
+
 void
-HostIoEngine::dispatchBatch()
+HostIoEngine::dispatchBatch(Link& link)
 {
     const sim::CostModel& cm = dev->costModel();
     sim::Engine& eng = dev->engine();
 
-    std::vector<Request> reqs = std::move(pending);
-    pending.clear();
+    std::vector<Request> reqs = std::move(link.pending);
+    link.pending.clear();
     if (reqs.empty())
         return;
 
@@ -213,6 +269,7 @@ HostIoEngine::dispatchBatch()
                           [](const Request& r) { return !r.low; });
 
     // Split into transfers of at most maxBatchBytes.
+    const char* what = link.writes ? "wb x" : "batch x";
     size_t i = 0;
     sim::Cycles host_free = eng.now();
     while (i < reqs.size()) {
@@ -223,46 +280,22 @@ HostIoEngine::dispatchBatch()
             bytes += reqs[j].len;
             ++j;
         }
-        // The host gathers the file contents into its staging buffer,
-        // then issues one DMA for the whole batch: one setup cost for
-        // the whole group.
+        // The host gathers the group through its staging buffer (file
+        // contents for a read, frame bytes for a write), then issues
+        // one DMA for the whole group: one setup cost for all of it.
         host_free += static_cast<double>(j - i) * cm.hostRequestCost;
-        sim::Cycles done = pcieToGpu.acquireWithSetup(
-            host_free, static_cast<double>(bytes), cm.pcieLatency);
-        inflightReads += j - i;
-        dev->stats().inc("hostio.batched_requests", j - i);
+        sim::Cycles done =
+            ship(link,
+                 std::vector<Request>(
+                     std::make_move_iterator(reqs.begin() + i),
+                     std::make_move_iterator(reqs.begin() + j)),
+                 bytes, host_free);
         dev->tracer().span(-2, "dma",
-                           "batch x" + std::to_string(j - i) + " (" +
+                           what + std::to_string(j - i) + " (" +
                                std::to_string(bytes) + "B)",
                            host_free, done,
                            {{"requests", static_cast<double>(j - i)},
                             {"bytes", static_cast<double>(bytes)}});
-        for (size_t k = i; k < j; ++k)
-            dev->faultPath().stamp(reqs[k].fid,
-                                   sim::FaultStage::TransferStart,
-                                   host_free);
-
-        std::vector<Request> group(
-            std::make_move_iterator(reqs.begin() + i),
-            std::make_move_iterator(reqs.begin() + j));
-        // An injected delay on any member holds up the whole DMA (the
-        // batch completes as one transaction).
-        sim::Cycles delay = 0;
-        for (const Request& r : group)
-            delay = std::max(delay, injectedDelay(r));
-        // The transfer is counted when the DMA lands, matching the
-        // unbatched path (counting at dispatch time let mid-run stats
-        // reads disagree between the two paths).
-        eng.schedule(done + delay, [this, group = std::move(group)] {
-            dev->stats().inc("hostio.transfers");
-            inflightReads -= group.size();
-            for (const Request& r : group) {
-                dev->faultPath().stamp(r.fid,
-                                       sim::FaultStage::TransferEnd,
-                                       dev->engine().now());
-                completeRead(r);
-            }
-        });
         i = j;
     }
 }
@@ -335,70 +368,59 @@ HostIoEngine::dispatchQos()
     if (q.empty())
         q.deficit = 0; // no banking credit while idle (classic DRR)
 
-    // Transfer mechanics identical to the legacy batcher: one staging
+    // Transfer mechanics identical to the FIFO batcher: one staging
     // gather on the host, one DMA setup for the group.
+    const size_t n = group.size();
     sim::Cycles host_free =
-        eng.now() +
-        static_cast<double>(group.size()) * cm.hostRequestCost;
-    sim::Cycles done = pcieToGpu.acquireWithSetup(
-        host_free, static_cast<double>(bytes), cm.pcieLatency);
-    inflightReads += group.size();
-    dev->stats().inc("hostio.batched_requests", group.size());
+        eng.now() + static_cast<double>(n) * cm.hostRequestCost;
+    sim::Cycles done = ship(toGpu, std::move(group), bytes, host_free);
     dev->stats().inc("hostio.qos_dispatches");
     const std::string& pfx = registry_->statPrefix(asid);
-    dev->stats().inc(pfx + "io_requests", group.size());
+    dev->stats().inc(pfx + "io_requests", n);
     dev->stats().inc(pfx + "io_bytes", bytes);
     dev->tracer().span(-2, "dma",
                        "qos t" + std::to_string(asid) + " x" +
-                           std::to_string(group.size()) + " (" +
+                           std::to_string(n) + " (" +
                            std::to_string(bytes) + "B)",
                        host_free, done,
-                       {{"requests", static_cast<double>(group.size())},
+                       {{"requests", static_cast<double>(n)},
                         {"bytes", static_cast<double>(bytes)},
                         {"tenant", static_cast<double>(asid)}});
-    for (const Request& r : group)
-        dev->faultPath().stamp(r.fid, sim::FaultStage::TransferStart,
-                               host_free);
-    // An injected delay on any member holds up the whole DMA.
-    sim::Cycles delay = 0;
-    for (const Request& r : group)
-        delay = std::max(delay, injectedDelay(r));
-    eng.schedule(done + delay, [this, group = std::move(group)] {
-        dev->stats().inc("hostio.transfers");
-        inflightReads -= group.size();
-        for (const Request& r : group) {
-            dev->faultPath().stamp(r.fid, sim::FaultStage::TransferEnd,
-                                   dev->engine().now());
-            completeRead(r);
-        }
-    });
 
     // One transfer per dispatch event: the next round is a fresh event
     // ordered behind this DMA, which is what lets another tenant's
     // requests interleave instead of convoying behind this one.
-    armDispatch();
+    armDispatch(toGpu);
 }
 
 void
-HostIoEngine::completeRead(const Request& r)
+HostIoEngine::complete(Link& link, const Request& r)
 {
-    Fault fl = injector
-                   ? injector->onRead(r.file, r.off, r.len, r.attempt)
-                   : Fault::None;
+    Fault fl = Fault::None;
+    if (injector)
+        fl = link.writes
+                 ? injector->onWrite(r.file, r.off, r.len, r.attempt)
+                 : injector->onRead(r.file, r.off, r.len, r.attempt);
     if (fl == Fault::None) {
-        noteDmaWrite(dev, r.dst, r.len);
-        IoStatus st = store_->preadChecked(
-            r.file, dev->mem().raw(r.dst, r.len), r.len, r.off);
-        finish(r, st);
+        uint8_t* frame = dev->mem().raw(r.gpu, r.len);
+        IoStatus st;
+        if (link.writes) {
+            noteDmaRead(dev, r.gpu, r.len);
+            st = store_->pwriteChecked(r.file, frame, r.len, r.off);
+        } else {
+            noteDmaWrite(dev, r.gpu, r.len);
+            st = store_->preadChecked(r.file, frame, r.len, r.off);
+        }
+        finish(link, r, st);
         return;
     }
     dev->stats().inc("hostio.injected_faults");
-    finish(r, fl == Fault::Transient ? IoStatus::Again
-                                     : IoStatus::IoError);
+    finish(link, r, fl == Fault::Transient ? IoStatus::Again
+                                           : IoStatus::IoError);
 }
 
 void
-HostIoEngine::finish(const Request& r, IoStatus st)
+HostIoEngine::finish(Link& link, const Request& r, IoStatus st)
 {
     if (r.waiter) {
         // Blocking request: hand the attempt status to the fiber; its
@@ -421,8 +443,8 @@ HostIoEngine::finish(const Request& r, IoStatus st)
         Request nr = r;
         nr.attempt++;
         eng.schedule(eng.now() + backoff(r.attempt),
-                     [this, nr = std::move(nr)]() mutable {
-                         submitRead(std::move(nr));
+                     [this, &link, nr = std::move(nr)]() mutable {
+                         submit(link, std::move(nr));
                      });
         return;
     }
@@ -447,72 +469,10 @@ HostIoEngine::readToGpuAsync(sim::Warp& w, FileId f, uint64_t off,
     if (low_priority)
         dev->stats().inc("hostio.low_priority_requests");
     w.issue(8);
-    submitRead(Request{f, off, len, gpu_dst, nullptr, nullptr,
-                       std::move(on_done), 0, low_priority,
-                       w.activeFault(), w.tenant()});
+    submit(toGpu, Request{f, off, len, gpu_dst, nullptr, nullptr,
+                          std::move(on_done), 0, low_priority,
+                          w.activeFault(), w.tenant()});
     return IoStatus::Ok;
-}
-
-IoStatus
-HostIoEngine::writeFromGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
-                           sim::Addr gpu_src)
-{
-    IoStatus v = store_->checkRange(f, off, len);
-    if (v != IoStatus::Ok) {
-        dev->stats().inc("hostio.failures");
-        return v;
-    }
-    const sim::CostModel& cm = dev->costModel();
-    sim::Engine& eng = dev->engine();
-    dev->stats().inc("hostio.write_requests");
-    dev->stats().inc("hostio.write_bytes", len);
-    w.issue(8);
-
-    // Same retry shape as readToGpu; writes are never batched.
-    for (int attempt = 0;; ++attempt) {
-        sim::Cycles host = eng.now() + cm.hostRequestCost;
-        sim::Cycles done = pcieToHost.acquireWithSetup(
-            host, static_cast<double>(len), cm.pcieLatency);
-        Request r{f, off, len, gpu_src, sim::Fiber::current(), nullptr,
-                  nullptr, attempt};
-        r.asid = w.tenant();
-        done += injectedDelay(r);
-        IoStatus st = IoStatus::Ok;
-        r.out = &st;
-        // Writes occupy the host daemon and the bus like reads do, so
-        // they count toward queueDepth() while the DMA is in flight —
-        // the readahead throttle must see writeback pressure too.
-        ++inflightWrites;
-        eng.schedule(done, [this, r = std::move(r)] {
-            dev->stats().inc("hostio.transfers");
-            --inflightWrites;
-            Fault fl = injector ? injector->onWrite(r.file, r.off, r.len,
-                                                    r.attempt)
-                                : Fault::None;
-            if (fl == Fault::None) {
-                noteDmaRead(dev, r.dst, r.len);
-                IoStatus wst = store_->pwriteChecked(
-                    r.file, dev->mem().raw(r.dst, r.len), r.len, r.off);
-                finish(r, wst);
-                return;
-            }
-            dev->stats().inc("hostio.injected_faults");
-            finish(r, fl == Fault::Transient ? IoStatus::Again
-                                             : IoStatus::IoError);
-        });
-        eng.block();
-        if (st != IoStatus::Again) {
-            if (st != IoStatus::Ok)
-                dev->stats().inc("hostio.failures");
-            return st;
-        }
-        if (attempt + 1 >= retry.maxAttempts) {
-            dev->stats().inc("hostio.failures");
-            return IoStatus::IoError;
-        }
-        dev->stats().inc("hostio.retries");
-        eng.waitUntil(eng.now() + backoff(attempt));
-    }
 }
 
 int64_t

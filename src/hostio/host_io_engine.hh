@@ -3,8 +3,10 @@
  * The host I/O engine: models the GPUfs host-side daemon that services
  * file RPCs from running GPU kernels, the PCIe bus, and the transfer
  * batching optimization from paper section V ("Optimizing for small
- * page size"): multiple outstanding small reads are aggregated on the
- * host and shipped to the GPU in a single DMA transfer.
+ * page size"): multiple outstanding small transfers are aggregated on
+ * the host and cross the bus in a single DMA. Both directions batch —
+ * reads (host -> GPU) and dirty-page writebacks (GPU -> host) — each
+ * through its own direction of the link, drained by the same batcher.
  *
  * Failure semantics (DESIGN.md section 10): every transfer validates
  * its byte range up front and returns an IoStatus instead of
@@ -108,7 +110,11 @@ class HostIoEngine
     /**
      * Write device memory (gpu_src, len) to the host file at (f, off).
      * Blocks the calling warp until the transfer completes or fails
-     * terminally.
+     * terminally. With batching enabled, concurrent writes within the
+     * aggregation window share one GPU -> host DMA, exactly as reads
+     * do in the other direction.
+     * @return Ok, BadFile/Eof for an invalid range, or IoError after
+     *         retries are exhausted
      */
     IoStatus writeFromGpu(sim::Warp& w, FileId f, uint64_t off,
                           size_t len, sim::Addr gpu_src)
@@ -124,7 +130,7 @@ class HostIoEngine
     int64_t rpc(sim::Warp& w, const std::function<int64_t()>& host_fn)
         AP_YIELDS;
 
-    /** Enable/disable batching (ablation knob). */
+    /** Enable/disable batching of reads and writes (ablation knob). */
     void setBatching(bool on) { batching = on; }
 
     /** Whether batching is enabled. */
@@ -150,7 +156,8 @@ class HostIoEngine
      * attached, batched reads route through per-tenant queues drained
      * by deficit round-robin over the registry's IO weights; without
      * it the engine runs the original single-queue batcher unchanged.
-     * Attach only while no batched reads are queued.
+     * Writes use the single-queue batcher either way. Attach only
+     * while no batched reads are queued.
      */
     void setTenantRegistry(tenant::TenantRegistry* reg)
     {
@@ -168,17 +175,17 @@ class HostIoEngine
 
     /**
      * Host-side congestion probe: transfers not yet delivered —
-     * batched reads awaiting dispatch (either queue discipline) plus
-     * reads and writes with the DMA in flight. The readahead throttle
-     * gates speculation on this so a deep queue of guesses never
-     * builds up in front of demand traffic; writes count too, since
-     * they occupy the same host daemon and bus as the reads the
+     * batched reads and writes awaiting dispatch (either read queue
+     * discipline) plus those with the DMA in flight. The readahead
+     * throttle gates speculation on this so a deep queue of guesses
+     * never builds up in front of demand traffic; writes count too,
+     * since they occupy the same host daemon as the reads the
      * throttle is trying to protect.
      */
     size_t queueDepth() const
     {
-        return pending.size() + qosQueued + inflightReads +
-               inflightWrites;
+        return toGpu.pending.size() + qosQueued + toGpu.inflight +
+               toHost.pending.size() + toHost.inflight;
     }
 
     /** Batched reads of tenant @p asid still awaiting dispatch. */
@@ -196,7 +203,7 @@ class HostIoEngine
         FileId file;
         uint64_t off;
         size_t len;
-        sim::Addr dst;
+        sim::Addr gpu;                 ///< read dst / write src
         sim::Fiber* waiter = nullptr;  ///< resumed if non-null
         IoStatus* out = nullptr;       ///< status for the waiter
         std::function<void(IoStatus)> onDone; ///< called if set
@@ -221,55 +228,106 @@ class HostIoEngine
         }
     };
 
+    /**
+     * One direction of the PCIe link: its DMA channel plus the FIFO
+     * aggregation window in front of it. Reads travel toGpu, writes
+     * toHost; the batcher, the unbatched path and the completion
+     * logic are shared and differ only in the direction handed in.
+     */
+    struct Link
+    {
+        Link(double bytes_per_cycle, bool writes_)
+            : writes(writes_), bus(bytes_per_cycle)
+        {
+        }
+
+        const bool writes; ///< device -> host (writes) or host -> device
+        sim::BwServer bus;
+        std::vector<Request> pending; ///< FIFO window awaiting dispatch
+        size_t inflight = 0;          ///< dispatched, DMA not landed
+        bool dispatchScheduled = false;
+    };
+
     /** Backoff before re-issuing attempt @p attempt + 1. */
     sim::Cycles backoff(int attempt) const;
 
     /** Injector delay for this attempt (also counts the stat). */
     sim::Cycles injectedDelay(const Request& r);
 
-    /** Add @p r to the aggregation window, arming dispatch if idle. */
-    void enqueueBatched(Request r);
+    /**
+     * The blocking transfer both readToGpu and writeFromGpu run:
+     * validate, then submit attempts on @p link until one completes
+     * or retries run out. @p fid is the FaultPath record the
+     * attempts stamp (0 = untracked).
+     */
+    IoStatus transfer(sim::Warp& w, Link& link, FileId f, uint64_t off,
+                      size_t len, sim::Addr gpu_addr, uint64_t fid)
+        AP_YIELDS;
 
-    /** Issue @p r as its own PCIe transfer. */
-    void issueUnbatchedRead(Request r);
+    /** Enqueue attempt @p r on @p link by whichever path is set. */
+    void submit(Link& link, Request r);
 
-    /** Enqueue attempt @p r on whichever path is configured. */
-    void submitRead(Request r);
+    /** Add @p r to @p link's aggregation window, arming dispatch. */
+    void enqueueBatched(Link& link, Request r);
+
+    /** Issue @p r as its own PCIe transfer on @p link. */
+    void issueUnbatched(Link& link, Request r);
 
     /**
-     * Host-side completion of one read attempt: consult the injector,
-     * deliver the bytes or a failure to finish().
+     * Ship @p group (@p bytes in total, gathered on the host by
+     * @p host_free) as ONE DMA on @p link: one pcieLatency setup for
+     * the whole group, and an injected delay on any member holds up
+     * the whole transfer.
+     * @return the DMA's completion time, injected delay excluded
      */
-    void completeRead(const Request& r);
+    sim::Cycles ship(Link& link, std::vector<Request> group,
+                     size_t bytes, sim::Cycles host_free);
+
+    /**
+     * Host-side completion of one attempt on @p link: consult the
+     * injector, move the bytes (file -> frame for reads, frame ->
+     * file for writes) or report the failure to finish().
+     */
+    void complete(Link& link, const Request& r);
 
     /**
      * Deliver the attempt outcome: resume a blocked waiter with the
-     * status, or (async requests) retry transient failures engine-side
+     * status, or (async reads) retry transient failures engine-side
      * and invoke the callback with the terminal status.
      */
-    void finish(const Request& r, IoStatus st);
+    void finish(Link& link, const Request& r, IoStatus st);
 
-    /** Dispatch-event body: drains whichever queues hold requests. */
-    void dispatch();
-
-    void dispatchBatch();
+    /** Dispatch-event body: drains @p link's window and, for reads,
+     * the per-tenant queues. */
+    void dispatch(Link& link);
 
     /**
-     * Deficit round-robin dispatch (registry attached): pick the next
-     * tenant whose accumulated credit covers its head request and ship
-     * ONE transfer of at most maxBatchBytes from its queue, then
-     * re-arm the dispatch event while requests remain. One transfer
-     * per tenant per visit is the isolation mechanism: a tenant
-     * streaming megabytes can no longer convoy the whole aggregation
-     * window into back-to-back DMAs ahead of everyone else.
+     * FIFO batch dispatch: take @p link's whole window (demand before
+     * speculation), split it into groups of at most maxBatchBytes and
+     * ship each group as one DMA.
+     */
+    void dispatchBatch(Link& link);
+
+    /**
+     * Deficit round-robin dispatch of reads (registry attached): pick
+     * the next tenant whose accumulated credit covers its head request
+     * and ship ONE transfer of at most maxBatchBytes from its queue,
+     * then re-arm the dispatch event while requests remain. One
+     * transfer per tenant per visit is the isolation mechanism: a
+     * tenant streaming megabytes can no longer convoy the whole
+     * aggregation window into back-to-back DMAs ahead of everyone
+     * else. Writes always use the FIFO batcher.
      */
     void dispatchQos();
 
     /** DRR credit one visit earns tenant @p asid. */
     uint64_t quantumFor(tenant::TenantId asid) const;
 
-    /** Re-arm the dispatch event if requests remain queued. */
-    void armDispatch();
+    /**
+     * Arm @p link's dispatch event if requests remain queued:
+     * work-conserving, at max(now + hostBatchWindow, bus free time).
+     */
+    void armDispatch(Link& link);
 
     sim::Device* dev;
     BackingStore* store_;
@@ -278,15 +336,13 @@ class HostIoEngine
     QosConfig qos;
     tenant::TenantRegistry* registry_ = nullptr;
     bool batching;
-    sim::BwServer pcieToGpu;
-    sim::BwServer pcieToHost;
-    std::vector<Request> pending;
+    Link toGpu;  ///< reads: host -> device
+    Link toHost; ///< writes: device -> host
+    /** Per-tenant read queues (registry attached); share toGpu's
+     * dispatch event and bus. */
     std::map<tenant::TenantId, TenantQueue> qosQueues;
     size_t qosQueued = 0;     ///< total requests across qosQueues
     tenant::TenantId rrCursor = 0; ///< next ASID the DRR visits
-    bool dispatchScheduled = false;
-    size_t inflightReads = 0; ///< dispatched reads awaiting completion
-    size_t inflightWrites = 0; ///< writes with the DMA in flight
 };
 
 } // namespace ap::hostio

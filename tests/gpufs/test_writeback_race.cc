@@ -21,6 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include "gpufs/page_cache.hh"
 #include "sim/check/simcheck.hh"
 
@@ -111,6 +115,107 @@ TEST(WritebackRace, ConcurrentFaulterSeesPostWritebackBytes)
         EXPECT_TRUE(cache.everWrittenHost(dirty_key))
             << "eviction pressure never wrote page 0 back (offset "
             << offset << ")";
+        sc.auditLeaks();
+        for (const auto& r : sc.reports())
+            ADD_FAILURE() << "simcheck report at offset " << offset
+                          << ": " << r.message;
+        sc.setEnabled(false);
+        sc.reset();
+    }
+}
+
+/** Largest "wb xN" write group among the trace's DMA spans. */
+size_t
+largestWriteGroup(const sim::Tracer& t)
+{
+    std::ostringstream os;
+    t.writeJson(os);
+    const std::string json = os.str();
+    const std::string tag = "\"wb x";
+    size_t largest = 0;
+    for (size_t at = json.find(tag); at != std::string::npos;
+         at = json.find(tag, at + 1))
+        largest = std::max<size_t>(
+            largest, std::stoul(json.substr(at + tag.size())));
+    return largest;
+}
+
+/**
+ * The batched variant: kEvictors warps dirty one page each, then evict
+ * all of those dirty pages at once, so their writebacks share
+ * GPU -> host DMAs whose host-side dispatch event was armed by just
+ * one member. (Evictors take turns sweeping under the allocator lock,
+ * so the first window catches a few of them and the rest gather
+ * behind that DMA: at least kSharedDma share one transfer.) Faulter
+ * warps meanwhile re-touch the dirty pages at swept offsets. Every
+ * faulter must still see the bytes its page was dirtied with, and the
+ * armed checker must stay silent. The phases are separated by
+ * simulated time, not by a barrier, so nothing but the page-cache
+ * protocol orders a dirtying store before the DMA that reads it: the
+ * evictor's claim of the victim and its enqueue publishing its clock
+ * to the host, even when another member armed the dispatch.
+ */
+TEST(WritebackRace, BatchedWritebacksStayOrderedAndVisible)
+{
+    constexpr int kEvictors = 16;
+    constexpr size_t kSharedDma = 8;
+    // Well after every evictor has dirtied its page.
+    constexpr sim::Cycles kEvictAt = 40000;
+    for (sim::Cycles offset = 0; offset <= 24000; offset += 4000) {
+        SimCheck& sc = SimCheck::get();
+        sc.reset();
+        sc.setEnabled(true);
+        sc.setFailOnReport(false);
+
+        Config cfg;
+        cfg.numFrames = kEvictors; // every fresh page evicts a dirty one
+        hostio::BackingStore bs;
+        sim::Device dev(sim::CostModel{}, 64 << 20);
+        dev.tracer().enable();
+        hostio::HostIoEngine io(dev, bs);
+        PageCache cache(dev, io, cfg);
+
+        hostio::FileId f = bs.create("wbb", 4 * kEvictors * cfg.pageSize);
+        auto stallUntil = [](sim::Warp& w, sim::Cycles t) {
+            if (w.now() < t)
+                w.stall(t - w.now());
+        };
+
+        uint64_t observed[kEvictors] = {};
+        dev.launch(1, 2 * kEvictors, [&](sim::Warp& w) {
+            const int i = w.warpInBlock() % kEvictors;
+            const PageKey dirty_key = makePageKey(f, i);
+            if (w.warpInBlock() < kEvictors) {
+                AcquireResult a = cache.acquirePage(w, dirty_key, 1, true);
+                w.mem().store<uint64_t>(a.frameAddr + 24, kMarker ^ i);
+                cache.releasePage(w, dirty_key, 1);
+                // The dirty pages now fill the cache: fault in fresh
+                // pages together so each one evicts a dirty page.
+                stallUntil(w, kEvictAt);
+                for (uint64_t p = kEvictors + i; p < 4 * kEvictors;
+                     p += kEvictors) {
+                    PageKey k = makePageKey(f, p);
+                    cache.acquirePage(w, k, 1, false);
+                    cache.releasePage(w, k, 1);
+                }
+            } else {
+                // Sweep the re-touch across the writebacks.
+                stallUntil(w, kEvictAt + offset + 250 * i);
+                AcquireResult r = cache.acquirePage(w, dirty_key, 1, false);
+                observed[i] = w.mem().load<uint64_t>(r.frameAddr + 24);
+                cache.releasePage(w, dirty_key, 1);
+            }
+        });
+
+        for (int i = 0; i < kEvictors; ++i) {
+            EXPECT_EQ(observed[i], kMarker ^ i)
+                << "page " << i << " at stall offset " << offset;
+            EXPECT_TRUE(cache.everWrittenHost(makePageKey(f, i)))
+                << "page " << i << " never written back (offset "
+                << offset << ")";
+        }
+        EXPECT_GE(largestWriteGroup(dev.tracer()), kSharedDma)
+            << "writebacks did not share a DMA (offset " << offset << ")";
         sc.auditLeaks();
         for (const auto& r : sc.reports())
             ADD_FAILURE() << "simcheck report at offset " << offset

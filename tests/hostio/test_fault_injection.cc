@@ -3,8 +3,8 @@
  * Fault injection and retry behavior of the host I/O engine: the
  * deterministic injector, retry-until-success with backoff, terminal
  * failures surfacing IoError to the caller, batch isolation (one
- * poisoned request does not wedge its batch), and the checked EOF
- * path shared by every transfer variant.
+ * poisoned request does not wedge its batch, in either direction),
+ * and the checked EOF path shared by every transfer variant.
  */
 
 #include <gtest/gtest.h>
@@ -207,6 +207,78 @@ TEST(HostIoFault, TransientWriteRetriesAndPersists)
     EXPECT_GE(fx.dev.stats().counter("hostio.retries"), 1u);
 }
 
+TEST(HostIoFault, PoisonedWriteDoesNotWedgeItsBatch)
+{
+    FiFixture fx;
+    FileId f = fx.bs.create("f", 16 * 4096); // zero-filled on the host
+    HostIoEngine io(fx.dev, fx.bs, /*batching=*/true);
+    FaultInjector fi;
+    fi.failWrites(f, 5 * 4096, 4096); // poison page 5 only
+    io.setFaultInjector(&fi);
+    for (int i = 0; i < 16 * 4096; ++i)
+        fx.dev.mem().store<uint8_t>(fx.buf + i,
+                                    static_cast<uint8_t>(i % 251 + 1));
+
+    IoStatus got[16];
+    // 16 warps write back one page each; they share one DMA.
+    fx.dev.launch(1, 16, [&](sim::Warp& w) {
+        int i = w.warpInBlock();
+        got[i] = io.writeFromGpu(w, f, i * 4096, 4096, fx.buf + i * 4096);
+    });
+    const uint8_t* host = fx.bs.data(f, 0, 16 * 4096);
+    for (int i = 0; i < 16; ++i) {
+        if (i == 5) {
+            // Only the poisoned member fails, and nothing of it lands.
+            EXPECT_EQ(got[i], IoStatus::IoError);
+            for (int b = 0; b < 4096; b += 997)
+                EXPECT_EQ(host[i * 4096 + b], 0);
+            continue;
+        }
+        EXPECT_EQ(got[i], IoStatus::Ok) << "page " << i;
+        for (int b = 0; b < 4096; b += 997)
+            EXPECT_EQ(host[i * 4096 + b],
+                      static_cast<uint8_t>((i * 4096 + b) % 251 + 1));
+    }
+    EXPECT_EQ(fx.dev.stats().counter("hostio.failures"), 1u);
+}
+
+TEST(HostIoFault, DelayedWriteHoldsUpItsWholeBatch)
+{
+    // An injected completion delay on some members of a write group
+    // stretches every member's completion: the group lands as one DMA.
+    auto run = [](double delay_rate, uint64_t* delayed) {
+        FiFixture fx;
+        FileId f = fx.bs.create("f", 8 * 4096);
+        HostIoEngine io(fx.dev, fx.bs);
+        FaultInjector::Config cfg;
+        cfg.seed = 9;
+        cfg.delayRate = delay_rate;
+        cfg.delayCycles = 50000.0;
+        FaultInjector fi(cfg);
+        io.setFaultInjector(&fi);
+        sim::Cycles first_done = 0;
+        fx.dev.launch(1, 8, [&](sim::Warp& w) {
+            int i = w.warpInBlock();
+            EXPECT_EQ(io.writeFromGpu(w, f, i * 4096, 4096,
+                                      fx.buf + i * 4096),
+                      IoStatus::Ok);
+            if (first_done == 0 || w.now() < first_done)
+                first_done = w.now();
+        });
+        EXPECT_EQ(fx.dev.stats().counter("hostio.transfers"), 1u);
+        *delayed = fx.dev.stats().counter("hostio.injected_delays");
+        return first_done;
+    };
+    uint64_t delayed = 0;
+    const sim::Cycles clean = run(0.0, &delayed);
+    const sim::Cycles held = run(0.25, &delayed);
+    // Some members were delayed and some were not ...
+    ASSERT_GT(delayed, 0u);
+    ASSERT_LT(delayed, 8u);
+    // ... yet even the earliest finisher waited out the delay.
+    EXPECT_GE(held, clean + 50000.0);
+}
+
 TEST(HostIoFault, PersistentWriteFailsTerminally)
 {
     FiFixture fx;
@@ -334,20 +406,26 @@ TEST(HostIoFault, AsyncPersistentFailureReportsOnce)
 TEST(HostIoFault, TransferParityBetweenBatchedAndUnbatched)
 {
     // The same serial workload must count the same number of PCIe
-    // transfers on both paths: one per request, counted at completion.
-    auto transfers = [](bool batching) {
+    // transfers on both paths: one per request, counted at completion,
+    // in either direction.
+    auto transfers = [](bool batching, bool write) {
         FiFixture fx;
         FileId f = fx.bs.create("f", 8 * 4096);
         HostIoEngine io(fx.dev, fx.bs, batching);
         fx.dev.launch(1, 1, [&](sim::Warp& w) {
-            for (int i = 0; i < 8; ++i)
-                EXPECT_EQ(io.readToGpu(w, f, i * 4096u, 4096,
-                                       fx.buf + i * 4096u),
+            for (int i = 0; i < 8; ++i) {
+                sim::Addr a = fx.buf + i * 4096u;
+                EXPECT_EQ(write ? io.writeFromGpu(w, f, i * 4096u, 4096, a)
+                                : io.readToGpu(w, f, i * 4096u, 4096, a),
                           IoStatus::Ok);
+            }
         });
         return fx.dev.stats().counter("hostio.transfers");
     };
-    EXPECT_EQ(transfers(true), transfers(false));
+    for (bool write : {false, true}) {
+        EXPECT_EQ(transfers(true, write), 8u) << "write=" << write;
+        EXPECT_EQ(transfers(false, write), 8u) << "write=" << write;
+    }
 }
 
 } // namespace

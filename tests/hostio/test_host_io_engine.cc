@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "hostio/host_io_engine.hh"
 
 namespace ap::hostio {
@@ -108,6 +110,109 @@ TEST(HostIo, WriteFromGpuPersists)
     });
     for (int i = 0; i < 4096; ++i)
         EXPECT_EQ(fx.bs.data(f, 0, 4096)[i], static_cast<uint8_t>(i));
+}
+
+/** N warps each write back their own 4 KB page at the same time. */
+uint64_t
+concurrentWriteTransfers(bool batching, int warps)
+{
+    IoFixture fx;
+    FileId f = fx.bs.create("f", warps * 4096);
+    HostIoEngine io(fx.dev, fx.bs, batching);
+    sim::Addr src = fx.dev.mem().alloc(warps * 4096);
+    for (int i = 0; i < warps * 4096; ++i)
+        fx.dev.mem().store<uint8_t>(src + i, static_cast<uint8_t>(i * 7 + 3));
+    fx.dev.launch(1, warps, [&](sim::Warp& w) {
+        int i = w.warpInBlock();
+        EXPECT_EQ(io.writeFromGpu(w, f, i * 4096, 4096, src + i * 4096),
+                  IoStatus::Ok);
+    });
+    EXPECT_EQ(fx.dev.stats().counter("hostio.write_requests"),
+              static_cast<uint64_t>(warps));
+    const uint8_t* host = fx.bs.data(f, 0, warps * 4096);
+    for (int i = 0; i < warps * 4096; ++i)
+        EXPECT_EQ(host[i], static_cast<uint8_t>(i * 7 + 3)) << "byte " << i;
+    EXPECT_EQ(io.queueDepth(), 0u);
+    return fx.dev.stats().counter("hostio.transfers");
+}
+
+TEST(HostIo, BatchingAggregatesConcurrentWrites)
+{
+    // 16 dirty pages written back inside one aggregation window ride
+    // a single GPU -> host DMA, and every byte still lands.
+    EXPECT_EQ(concurrentWriteTransfers(true, 16), 1u);
+}
+
+TEST(HostIo, NoBatchingIssuesOneTransferPerWrite)
+{
+    EXPECT_EQ(concurrentWriteTransfers(false, 16), 16u);
+}
+
+TEST(HostIo, BatchedWritesFinishSoonerThanUnbatched)
+{
+    auto run = [](bool batching) {
+        IoFixture fx;
+        FileId f = fx.bs.create("f", 32 * 4096);
+        HostIoEngine io(fx.dev, fx.bs, batching);
+        sim::Addr src = fx.dev.mem().alloc(32 * 4096);
+        return fx.dev.launch(1, 32, [&](sim::Warp& w) {
+            int i = w.warpInBlock();
+            EXPECT_EQ(io.writeFromGpu(w, f, i * 4096, 4096,
+                                      src + i * 4096),
+                      IoStatus::Ok);
+        });
+    };
+    // Unbatched, the 32 setups serialize on the write channel.
+    const sim::CostModel cm;
+    EXPECT_LT(run(true) + 16 * cm.pcieLatency, run(false));
+}
+
+TEST(HostIo, QueueDepthCountsQueuedWrites)
+{
+    // Writes waiting in the aggregation window (not yet dispatched)
+    // are host-side backlog too: the readahead throttle and the
+    // serving admission gate must see them.
+    IoFixture fx;
+    FileId f = fx.bs.create("f", 8 * 4096);
+    HostIoEngine io(fx.dev, fx.bs);
+    sim::Addr src = fx.dev.mem().alloc(8 * 4096);
+    size_t observed = 0;
+    fx.dev.launch(1, 5, [&](sim::Warp& w) {
+        int i = w.warpInBlock();
+        if (i < 4) {
+            EXPECT_EQ(io.writeFromGpu(w, f, i * 4096, 4096,
+                                      src + i * 4096),
+                      IoStatus::Ok);
+        } else {
+            // Inside the window, before the dispatch event fires.
+            w.stall(w.costModel().hostBatchWindow / 2);
+            observed = io.queueDepth();
+        }
+    });
+    EXPECT_EQ(observed, 4u);
+    EXPECT_EQ(fx.dev.stats().counter("hostio.transfers"), 1u);
+    EXPECT_EQ(io.queueDepth(), 0u);
+}
+
+TEST(HostIo, WriteBatchesShowInTheTrace)
+{
+    IoFixture fx;
+    fx.dev.tracer().enable();
+    FileId f = fx.bs.create("f", 4 * 4096);
+    HostIoEngine io(fx.dev, fx.bs);
+    sim::Addr src = fx.dev.mem().alloc(4 * 4096);
+    fx.dev.launch(1, 4, [&](sim::Warp& w) {
+        int i = w.warpInBlock();
+        EXPECT_EQ(io.writeFromGpu(w, f, i * 4096, 4096, src + i * 4096),
+                  IoStatus::Ok);
+    });
+    // One "dma" span for the one write group, like a read batch.
+    std::ostringstream os;
+    fx.dev.tracer().writeJson(os);
+    const std::string json = os.str();
+    size_t at = json.find("\"wb x4 (16384B)\"");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(json.find("\"wb x", at + 1), std::string::npos);
 }
 
 TEST(HostIo, RpcRunsOnHostAndReturnsValue)
